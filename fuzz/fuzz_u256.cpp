@@ -1,4 +1,5 @@
-// Fuzz target: u256 / bigint parsing and arithmetic round-trips.
+// Fuzz target: u256 / bigint parsing and arithmetic round-trips, and the
+// Montgomery field multiply against a reference oracle.
 //
 // The parsers are the first line of defense for every externally
 // supplied scalar (proof bytes, decimal constants); this harness feeds
@@ -14,6 +15,7 @@
 #include "ff/bigint.hpp"
 #include "ff/bn254.hpp"
 #include "ff/u256.hpp"
+#include "field_oracle.hpp"
 
 using namespace zkdet::ff;
 
@@ -34,7 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ++data;
   --size;
 
-  switch (selector % 4) {
+  switch (selector % 5) {
     case 0: {
       // Decimal parser: must either parse or throw, never corrupt.
       const std::string s(reinterpret_cast<const char*>(data),
@@ -67,6 +69,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!u256_less(fa.to_canonical(), Fr::MOD)) __builtin_trap();
       if ((fa + fb - fb) != fa) __builtin_trap();
       if (!fb.is_zero() && (fa * fb * fb.inverse()) != fa) __builtin_trap();
+      break;
+    }
+    case 3: {
+      // Field multiply: the no-carry Montgomery product of operands
+      // reduced below p must match the double-and-add oracle, in both
+      // BN254 fields.
+      if (size < 64) break;
+      const U256 a = u256_from_raw(data);
+      const U256 b = u256_from_raw(data + 32);
+      const auto check = [&](auto field) {
+        using F = decltype(field);
+        const U256 ra = F::reduce_from(a).raw();
+        const U256 rb = F::reduce_from(b).raw();
+        const U256 out = (F::from_raw(ra) * F::from_raw(rb)).raw();
+        if (!oracle::is_mont_product(out, ra, rb, F::MOD)) __builtin_trap();
+      };
+      check(Fr{});
+      check(Fp{});
       break;
     }
     default: {

@@ -3,14 +3,15 @@
 // A parameter struct provides the modulus and a multiplicative generator:
 //
 //   struct MyParams {
-//     static constexpr U256 MODULUS{...};   // odd, < 2^255
+//     static constexpr U256 MODULUS{...};   // odd, top limb < 2^63 - 1
 //     static constexpr std::uint64_t GENERATOR = 5;  // of the full group
 //     static constexpr std::size_t TWO_ADICITY = ...; // 2-adic valuation of p-1
 //   };
 //
 // R = 2^256 mod p, R^2 mod p and -p^-1 mod 2^64 are derived constexpr.
-// Elements are kept in Montgomery form; CIOS multiplication uses
-// unsigned __int128 limb products.
+// Elements are kept in Montgomery form; multiplication is the no-carry
+// CIOS variant over unsigned __int128 limb products, which needs the
+// modulus's top limb below 2^63 - 1 (checked at compile time).
 #pragma once
 
 #include <cstdint>
@@ -143,40 +144,38 @@ class Fp_ {
   static constexpr U256 r() { return u256_pow2k_mod(256, Params::MODULUS); }
   static constexpr U256 r2() { return u256_pow2k_mod(512, Params::MODULUS); }
 
-  // CIOS Montgomery multiplication: returns a*b*R^-1 mod p.
+  // "No-carry" CIOS Montgomery multiplication (the gnark variant):
+  // returns a*b*R^-1 mod p, canonical. When the top limb of p is below
+  // 2^63 - 1, the running sum t stays below 2p < 2^256 after every outer
+  // step, so the two carry chains of a step fold into t[3] without the
+  // fifth and sixth words plain CIOS keeps, and one conditional subtract
+  // at the end reduces t into [0, p).
+  static_assert(MOD.limb[3] < 0x7fffffffffffffffULL,
+                "no-carry CIOS needs a spare top bit in the modulus");
   static U256 mont_mul(const U256& a, const U256& b) {
-    std::uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+    using u128 = unsigned __int128;
+    std::uint64_t t[4] = {0, 0, 0, 0};
     for (std::size_t i = 0; i < 4; ++i) {
-      // t += a[i] * b
-      std::uint64_t carry = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        const unsigned __int128 cur =
-            static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] + t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      {
-        const unsigned __int128 cur = static_cast<unsigned __int128>(t[4]) + carry;
-        t[4] = static_cast<std::uint64_t>(cur);
-        t[5] = static_cast<std::uint64_t>(cur >> 64);
-      }
-      // m = t[0] * INV mod 2^64; t += m * p; t >>= 64
-      const std::uint64_t m = t[0] * INV;
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(m) * MOD.limb[0] + t[0];
-      carry = static_cast<std::uint64_t>(cur >> 64);
+      // t += a * b[i] (carry A) interleaved with t = (t + m * p) / 2^64
+      // (carry C), where m = t[0] * -p^-1 mod 2^64 clears the low word.
+      u128 cur = static_cast<u128>(a.limb[0]) * b.limb[i] + t[0];
+      std::uint64_t carry_a = static_cast<std::uint64_t>(cur >> 64);
+      const std::uint64_t t0 = static_cast<std::uint64_t>(cur);
+      const std::uint64_t m = t0 * INV;
+      cur = static_cast<u128>(m) * MOD.limb[0] + t0;
+      std::uint64_t carry_c = static_cast<std::uint64_t>(cur >> 64);
       for (std::size_t j = 1; j < 4; ++j) {
-        cur = static_cast<unsigned __int128>(m) * MOD.limb[j] + t[j] + carry;
+        cur = static_cast<u128>(a.limb[j]) * b.limb[i] + t[j] + carry_a;
+        carry_a = static_cast<std::uint64_t>(cur >> 64);
+        cur = static_cast<u128>(m) * MOD.limb[j] +
+              static_cast<std::uint64_t>(cur) + carry_c;
+        carry_c = static_cast<std::uint64_t>(cur >> 64);
         t[j - 1] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
       }
-      cur = static_cast<unsigned __int128>(t[4]) + carry;
-      t[3] = static_cast<std::uint64_t>(cur);
-      t[4] = t[5] + static_cast<std::uint64_t>(cur >> 64);
-      t[5] = 0;
+      t[3] = carry_a + carry_c;
     }
     U256 out{t[0], t[1], t[2], t[3]};
-    if (t[4] != 0 || u256_geq(out, MOD)) u256_sub(out, out, MOD);
+    if (u256_geq(out, MOD)) u256_sub(out, out, MOD);
     return out;
   }
 

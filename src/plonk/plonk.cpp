@@ -155,7 +155,7 @@ std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
   pk.k1 = Fr::from_u64(kK1);
   pk.k2 = Fr::from_u64(kK2);
   pk.domain = std::make_shared<EvaluationDomain>(n);
-  pk.ext_domain = std::make_shared<EvaluationDomain>(8 * n);
+  pk.ext_domain = std::make_shared<EvaluationDomain>(4 * n);
   pk.coset_shift = Fr::generator();
 
   // Cosets {H, k1 H, k2 H} must be pairwise disjoint for the copy
@@ -165,6 +165,10 @@ std::optional<KeyPairResult> preprocess(const ConstraintSystem& cs,
   ZKDET_CHECK(pk.k2.pow(n_u) != Fr::one(), "k2 H intersects H");
   ZKDET_CHECK((pk.k2 * pk.k1.inverse()).pow(n_u) != Fr::one(),
               "k1 H intersects k2 H");
+  // Round 3 interpolates the quotient t (degree <= 3n + 5) from its
+  // values on the ext_domain coset, so the coset must hold 3n + 6 points.
+  ZKDET_CHECK(pk.ext_domain->size() >= 3 * n + 6,
+              "quotient coset too small for deg t <= 3n + 5");
 
   const Layout layout = build_layout(cs, n);
   pk.wire_a = layout.wa;
@@ -353,7 +357,14 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   proof.cm_z = srs.commit(z_poly);
   transcript.absorb_g1(proof.cm_z);
 
-  // --- round 3: quotient polynomial on an 8n coset ---
+  // --- round 3: quotient polynomial on a 4n coset ---
+  // Degree bound: a, b, c have degree n + 1 and z degree n + 2, so the
+  // largest numerator term, the permutation product, has degree
+  // 3(n + 1) + (n + 2) = 4n + 5, and t = N / Z_H has degree <= 3n + 5,
+  // below 4n for n >= 6 (domain_size() is never below 8). N is never
+  // interpolated: t is, from its values N(x) / Z_H(x) on the coset
+  // shift * <w_4n>, so 4n points determine it exactly. Z_H does not
+  // vanish there: shift generates the full group, so shift^(4n) != 1.
   const Fr alpha = transcript.challenge("alpha");
 
   const auto extend = [&](const Polynomial& p) {
@@ -387,19 +398,19 @@ std::optional<Proof> prove(const ProvingKey& pk, const ConstraintSystem& cs,
   const std::vector<Fr>& pi_ext = exts[12];
   const std::vector<Fr>& l1_ext = exts[13];
 
-  const std::size_t m = ext.size();  // 8n
+  const std::size_t m = ext.size();  // 4n
   const std::size_t stride = m / n;  // z(omega X) = rotate by stride
 
-  // Z_H(shift * w8^i) cycles with period `stride`.
+  // Z_H(shift * w_m^i) cycles with period `stride`.
   std::vector<Fr> zh_inv_cycle(stride);
   {
     const Fr shift_n = shift.pow(U256{n});
-    const Fr w8n = ext.element(n);  // primitive `stride`-th root
+    const Fr w_m_n = ext.element(n);  // w_m^n: primitive `stride`-th root
     std::vector<Fr> vals(stride);
     Fr cur = Fr::one();
     for (std::size_t j = 0; j < stride; ++j) {
       vals[j] = shift_n * cur - Fr::one();
-      cur *= w8n;
+      cur *= w_m_n;
     }
     zh_inv_cycle = batch_inverse(vals);
   }

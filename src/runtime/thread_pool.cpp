@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 
+#include "check/check.hpp"
 #include "check/mutex.hpp"
 #include "runtime/stats.hpp"
 
@@ -51,16 +52,19 @@ struct ThreadPool::Impl {
 
   std::atomic<std::size_t> rr{0};  // round-robin cursor for submissions
 
+  // The task is counted before it becomes poppable: counted after, a
+  // worker could pop it in between, skip the decrement, and leave
+  // `pending` stuck above zero (idle workers then spin forever).
   void push(std::function<void()> task) {
     const std::size_t w =
         rr.fetch_add(1, std::memory_order_relaxed) % queues.size();
     {
-      const MutexLock lk(queues[w]->m);
-      queues[w]->tasks.push_back(std::move(task));
-    }
-    {
       const MutexLock lk(sleep_m);
       ++pending;
+    }
+    {
+      const MutexLock lk(queues[w]->m);
+      queues[w]->tasks.push_back(std::move(task));
     }
     cv.notify_one();
   }
@@ -93,7 +97,8 @@ struct ThreadPool::Impl {
 
   void note_taken() {
     const MutexLock lk(sleep_m);
-    if (pending > 0) --pending;
+    ZKDET_DCHECK(pending > 0, "pool task taken but never counted");
+    --pending;
   }
 
   void worker_loop(std::size_t idx) {
@@ -156,6 +161,12 @@ void ThreadPool::configure(std::size_t total_threads) {
 }
 
 bool ThreadPool::on_worker_thread() { return tl_worker_index >= 0; }
+
+std::size_t ThreadPool::pending_tasks() const {
+  if (impl_ == nullptr) return 0;
+  const MutexLock lk(impl_->sleep_m);
+  return impl_->pending;
+}
 
 void ThreadPool::submit(std::function<void()> task) {
   if (impl_ == nullptr) {

@@ -69,6 +69,10 @@ class ThreadPool {
   // run would-be-blocking waits inline instead of deadlocking the pool.
   [[nodiscard]] static bool on_worker_thread();
 
+  // Tasks queued in some deque and not yet taken by a worker. Returns to
+  // zero once the pool drains; idle workers sleep only then.
+  [[nodiscard]] std::size_t pending_tasks() const;
+
   // Applies fn(i) for i in [0, items.size()) and returns the results in
   // index order (deterministic regardless of scheduling).
   template <typename T, typename F>

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "ff/bigint.hpp"
+#include "field_oracle.hpp"
 
 namespace zkdet::ff {
 namespace {
@@ -196,6 +197,66 @@ TEST(BigUInt, SubU64) {
   n.sub_u64(1);
   EXPECT_EQ(n.limbs[0], ~0ull);
   EXPECT_EQ(n.limbs[1], 0u);
+}
+
+// Differential check of the no-carry CIOS mont_mul against the
+// double-and-add oracle, on raw Montgomery words: the edges of the
+// canonical range, words with all-ones low limbs, and seeded random
+// pairs below p.
+template <typename F>
+void expect_mont_mul_matches_oracle(std::uint64_t seed) {
+  const U256 p = F::MOD;
+  const std::uint64_t ones = ~0ULL;
+  U256 p_minus_1, p_minus_2;
+  u256_sub(p_minus_1, p, U256{1});
+  u256_sub(p_minus_2, p, U256{2});
+  const std::vector<U256> edges = {
+      U256{0},
+      U256{1},
+      U256{2},
+      p_minus_1,
+      p_minus_2,
+      oracle::mont_r(p),                           // R mod p
+      F::from_canonical(oracle::mont_r(p)).raw(),  // R^2 mod p
+      U256{ones, 0, 0, 0},
+      U256{ones, ones, 0, 0},
+      U256{ones, ones, ones, 0},
+      U256{ones, ones, ones, p.limb[3] - 1},
+      U256{ones, ones, p.limb[2] - 1, p.limb[3]},
+  };
+  const auto product = [](const U256& a, const U256& b) {
+    return (F::from_raw(a) * F::from_raw(b)).raw();
+  };
+  for (const U256& a : edges) {
+    ASSERT_TRUE(u256_less(a, p));
+    for (const U256& b : edges) {
+      ASSERT_TRUE(oracle::is_mont_product(product(a, b), a, b, p))
+          << u256_to_hex(a) << " * " << u256_to_hex(b);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  const auto below_p = [&] {
+    for (;;) {  // rejection sampling; accepts with probability > 1/2
+      U256 v{rng(), rng(), rng(), rng() % (p.limb[3] + 1)};
+      if (u256_less(v, p)) return v;
+    }
+  };
+  for (int i = 0; i < 10'000; ++i) {
+    const U256 a = below_p();
+    const U256 b = (i % 8 == 0) ? edges[static_cast<std::size_t>(i / 8) %
+                                        edges.size()]
+                                : below_p();
+    ASSERT_TRUE(oracle::is_mont_product(product(a, b), a, b, p))
+        << "pair " << i << ": " << u256_to_hex(a) << " * " << u256_to_hex(b);
+  }
+}
+
+TEST(Field, MontMulMatchesOracleScalarField) {
+  expect_mont_mul_matches_oracle<Fr>(0x5eed'f00d);
+}
+
+TEST(Field, MontMulMatchesOracleBaseField) {
+  expect_mont_mul_matches_oracle<Fp>(0xba5e'f00d);
 }
 
 class FieldSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};

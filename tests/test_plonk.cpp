@@ -2,6 +2,8 @@
 
 #include "plonk/plonk.hpp"
 
+#include "core/circuits.hpp"
+#include "crypto/sha256.hpp"
 #include "ec/pairing.hpp"
 
 namespace zkdet::plonk {
@@ -411,6 +413,41 @@ TEST_F(PlonkFixture, BatchDuplicateEntriesCannotMaskAThirdInvalid) {
     EXPECT_EQ(r.ok[2], 1u);
     EXPECT_EQ(r.invalid_count(), 2u);
   }
+}
+
+// Golden proof bytes: with a fixed SRS seed and a fixed prover Drbg the
+// proof is a pure function of (circuit, witness), so its SHA-256 pins
+// every prover round. A prover optimisation (coset size, field
+// multiply, scheduling) must leave these digests unchanged.
+std::string proof_digest(const ConstraintSystem& cs,
+                         const std::vector<Fr>& witness, const Srs& srs,
+                         std::uint64_t prover_seed) {
+  const auto keys = preprocess(cs, srs);
+  if (!keys) return "no keys";
+  Drbg rng(prover_seed);
+  const auto proof = prove(keys->pk, cs, srs, witness, rng);
+  if (!proof) return "no proof";
+  if (!verify(keys->vk, cs.extract_public_inputs(witness), *proof)) {
+    return "proof does not verify";
+  }
+  return crypto::hex_encode(crypto::Sha256::digest(proof->to_bytes()));
+}
+
+TEST(PlonkGolden, CubicProofBytes) {
+  Drbg srs_rng(0x601d);
+  const Srs srs = Srs::setup(64, srs_rng);
+  const CubicCircuit c(3);
+  EXPECT_EQ(proof_digest(c.cs, c.witness, srs, 0xc0b1c),
+            "8e751be78e483c60097eb2382714c2dcd279fa67b697df88db3b235e3b5f5345");
+}
+
+TEST(PlonkGolden, KeyCircuitProofBytes) {
+  const gadgets::CircuitBuilder bld = core::build_key_circuit(
+      Fr::from_u64(11), Fr::from_u64(22), Fr::from_u64(33));
+  Drbg srs_rng(0x601d);
+  const Srs srs = Srs::setup(bld.cs().domain_size() + 16, srs_rng);
+  EXPECT_EQ(proof_digest(bld.cs(), bld.witness(), srs, 42),
+            "a7554302d5731959daf7ff01945ef9ceedb5e131bdee12f197ea5e57ebb72b79");
 }
 
 TEST(ConstraintSystem, SatisfiabilityChecks) {

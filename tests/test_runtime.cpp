@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/circuits.hpp"
@@ -89,6 +92,39 @@ TEST_F(RuntimeTest, ParallelForPropagatesExceptions) {
                      if (b == 42) throw std::runtime_error("chunk failure");
                    }),
                std::runtime_error);
+}
+
+// A task must be counted before it becomes poppable: a worker that pops
+// an uncounted task skips the decrement, `pending` stays >= 1 forever
+// and idle workers spin instead of sleeping. After a hammer of
+// concurrent parallel_for/submit calls the count must drain to zero.
+TEST_F(RuntimeTest, PendingCountDrainsToZeroAfterConcurrentHammer) {
+  auto& pool = ThreadPool::instance();
+  pool.configure(4);
+  constexpr std::size_t kCallers = 4, kRounds = 300;
+  std::atomic<std::size_t> submitted_ran{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        std::vector<int> out(32, 0);
+        pool.parallel_for(out.size(), 1, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) out[i] = 1;
+        });
+        pool.submit([&] { submitted_ran.fetch_add(1); });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((submitted_ran.load() != kCallers * kRounds ||
+          pool.pending_tasks() != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(submitted_ran.load(), kCallers * kRounds);
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
 TEST_F(RuntimeTest, MsmOnPoolMatchesNaive) {
