@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/exchange.hpp"
+#include "crypto/sha256.hpp"
 
 namespace zkdet::core {
 namespace {
@@ -450,6 +451,51 @@ TEST_F(ExchangeFixture, SettleBatchSettlesEachExactlyOnce) {
   EXPECT_EQ(sys().chain().balance(carol_addr), carol_before + 320);
 }
 
+TEST_F(ExchangeFixture, SettleBatchSameSellerGetsConsecutiveNonces) {
+  // Two settles by the same seller in one settle_batch call: each intent
+  // is submitted as soon as it is built, so the second one's nonce
+  // counts the first and both settle (building both before submitting
+  // either would hand them the same nonce).
+  auto asset_x = tp().publish(alice, make_data(4, 3500));
+  auto asset_y = tp().publish(alice, make_data(4, 3600));
+  ASSERT_TRUE(asset_x && asset_y);
+  auto offer_x = ex.make_offer(*asset_x, nullptr, "any");
+  auto offer_y = ex.make_offer(*asset_y, nullptr, "any");
+  ASSERT_TRUE(offer_x && offer_y);
+  auto session_x = ex.lock_payment(bob, *offer_x, 330, 100);
+  auto session_y = ex.lock_payment(carol, *offer_y, 340, 100);
+  ASSERT_TRUE(session_x && session_y);
+
+  const auto alice_addr = crypto::address_of(alice.pk);
+  const std::uint64_t nonce_before = sys().chain().account_nonce(alice_addr);
+  const std::uint64_t balance_before = sys().chain().balance(alice_addr);
+  const std::uint64_t height_before = sys().chain().height();
+
+  const KeySecureExchange::SettleRequest reqs[] = {
+      {&alice, &*asset_x, session_x->exchange_id, session_x->k_v},
+      {&alice, &*asset_y, session_y->exchange_id, session_y->k_v},
+  };
+  const auto ok = ex.settle_batch(reqs);
+  ASSERT_EQ(ok.size(), 2u);
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+  EXPECT_EQ(sys().chain().balance(alice_addr), balance_before + 330 + 340);
+  EXPECT_EQ(sys().chain().account_nonce(alice_addr), nonce_before + 2);
+
+  std::vector<std::uint64_t> nonces;
+  for (const auto& block : sys().chain().blocks()) {
+    if (block.height < height_before) continue;
+    for (const auto& tx : block.txs) {
+      if (tx.sender != alice_addr) continue;
+      EXPECT_EQ(tx.description, "arbiter.settle");
+      EXPECT_TRUE(tx.success);
+      nonces.push_back(tx.nonce);
+    }
+  }
+  EXPECT_EQ(nonces,
+            (std::vector<std::uint64_t>{nonce_before, nonce_before + 1}));
+}
+
 TEST_F(ExchangeFixture, ZkcpOpenBatchRedeemsAll) {
   // ZKCP settlement has no pairing to fold (Poseidon preimage check):
   // open_batch batches for throughput, with the same leak per entry.
@@ -497,6 +543,46 @@ TEST_F(ExchangeFixture, KeySecureResistsEavesdropper) {
   const auto ct = storage::blob_to_dataset(*blob);
   EXPECT_NE(crypto::mimc_ctr_decrypt(info->k_c, rec->nonce, *ct),
             asset->plain);
+}
+
+// Golden chain bytes for the exchange's three arbiter transactions: a
+// fresh system runs lock -> settle and lock -> deadline -> refund through
+// the in-process API, and the sealed tip hash must match the value
+// recorded before the lock/settle/refund intents were given a single
+// builder each. Any drift in a builder's description, access set, value
+// routing or nonce shows up here as a different tip.
+TEST(KeySecureGolden, LockSettleAndLockRefundTipHash) {
+  // Two arbiter shards, so the lock routes by token and the settle and
+  // refund route by exchange id to a shard other than shard 0.
+  ZkdetSystem sys(1 << 14, 29, /*data_dir=*/"", {}, /*arbiter_shards=*/2);
+  TransformationProtocol tp(sys);
+  KeySecureExchange ex(sys, tp);
+  Drbg rng("golden-exchange", 1);
+  const KeyPair seller = KeyPair::generate(rng);
+  const KeyPair buyer = KeyPair::generate(rng);
+  sys.chain().create_account(seller, 50'000);
+  sys.chain().create_account(buyer, 50'000);
+
+  auto asset = tp.publish(
+      seller, {Fr::from_u64(41), Fr::from_u64(42), Fr::from_u64(43),
+               Fr::from_u64(44)});
+  ASSERT_TRUE(asset);
+  auto offer = ex.make_offer(*asset, nullptr, "any");
+  ASSERT_TRUE(offer);
+
+  auto sold = ex.lock_payment(buyer, *offer, 700, 100);
+  ASSERT_TRUE(sold);
+  ASSERT_TRUE(ex.settle(seller, *asset, sold->exchange_id, sold->k_v));
+
+  auto expired = ex.lock_payment(buyer, *offer, 300, 2);
+  ASSERT_TRUE(expired);
+  EXPECT_FALSE(ex.refund(buyer, expired->exchange_id));  // too early
+  sys.chain().advance_blocks(3);
+  ASSERT_TRUE(ex.refund(buyer, expired->exchange_id));
+
+  const auto tip = chain::Chain::block_hash(sys.chain().blocks().back());
+  EXPECT_EQ(crypto::hex_encode(tip),
+            "c6f2eeb08635bef2095de110e240e933f379232b2934bee3a6c6571249993777");
 }
 
 }  // namespace

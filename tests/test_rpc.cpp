@@ -22,6 +22,7 @@
 #include "core/follower_view.hpp"
 #include "core/system.hpp"
 #include "core/transformation.hpp"
+#include "crypto/sha256.hpp"
 #include "fault/fault.hpp"
 #include "fault/points.hpp"
 #include "ledger/wal.hpp"
@@ -485,10 +486,14 @@ TEST(RpcByteIdentity, InProcessAndSocketRunsSealIdenticalState) {
     r[2].push_back(make_rq(Op::kLock, 6, 2, 1, 9'000, 40));  // -> exchange 1
     return r;
   }();
+  // Exchange 2 locks with a zero timeout, so its deadline has passed by
+  // the refund round.
   const std::vector<Request> settle_round = {
       make_rq(Op::kSettle, 7, 1, 1),
       make_rq(Op::kTransfer, 8, 2, 1, 1'000),
+      make_rq(Op::kLock, 9, 2, 1, 2'000, 0),  // -> exchange 2
   };
+  const std::vector<Request> refund_round = {make_rq(Op::kRefund, 10, 2, 2)};
 
   TempDir dir_a;
   TempDir dir_b;
@@ -507,6 +512,9 @@ TEST(RpcByteIdentity, InProcessAndSocketRunsSealIdenticalState) {
       }
     }
     for (const auto& rs : disp.run(settle_round)) {
+      ASSERT_EQ(rs.status, Status::kOk) << rs.text;
+    }
+    for (const auto& rs : disp.run(refund_round)) {
       ASSERT_EQ(rs.status, Status::kOk) << rs.text;
     }
     const auto h = chain::Chain::block_hash(sys.chain().blocks().back());
@@ -542,6 +550,7 @@ TEST(RpcByteIdentity, InProcessAndSocketRunsSealIdenticalState) {
     };
     for (const auto& round : rounds) drive(round);
     drive(settle_round);
+    drive(refund_round);
     const auto h = chain::Chain::block_hash(sys.chain().blocks().back());
     tip_b.assign(h.begin(), h.end());
     bal_b = sys.chain().balances_map();
@@ -549,6 +558,11 @@ TEST(RpcByteIdentity, InProcessAndSocketRunsSealIdenticalState) {
 
   EXPECT_EQ(tip_a, tip_b);
   EXPECT_EQ(bal_a, bal_b);
+  // Golden tip, recorded before the lock/settle/refund intents were
+  // given a single builder each: the RPC path's arbiter txs must seal
+  // the same chain as they always have.
+  EXPECT_EQ(crypto::hex_encode(tip_a),
+            "234fe799bd624b4e28a6a396b0a5796837da03db5f48277d33aefeb3d88cd3ba");
   // Both systems are destroyed: the journals are final. Byte-identical.
   const auto wal_a = wal_bytes(dir_a.path);
   const auto wal_b = wal_bytes(dir_b.path);
