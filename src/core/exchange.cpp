@@ -13,6 +13,29 @@ std::string pi_p_shape(const std::string& predicate_tag, std::size_t n) {
   return "pi_p/" + predicate_tag + "/" + std::to_string(n);
 }
 
+// Submits request i's intent as soon as `build(i)` returns it, then
+// pumps until every submitted ticket resolves. Submit-as-you-build is
+// load-bearing: next_nonce counts queued intents, so a sender's second
+// intent built before its first was queued would reuse the nonce.
+// Returns per-request success, index-aligned.
+template <class Build>
+std::vector<bool> submit_each_and_pump(txpool::TxPool& pool, std::size_t n,
+                                       Build build) {
+  std::vector<txpool::TicketPtr> tickets(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::optional<txpool::TxIntent> intent = build(i);
+    if (!intent) continue;
+    auto res = pool.submit(std::move(*intent));
+    if (res.accepted) tickets[i] = std::move(res.ticket);
+  }
+  pool.pump_until_resolved(tickets);
+  std::vector<bool> ok(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    ok[i] = tickets[i] && tickets[i]->done() && tickets[i]->receipt.success;
+  }
+  return ok;
+}
+
 }  // namespace
 
 std::optional<Offer> KeySecureExchange::make_offer(
@@ -69,32 +92,48 @@ std::optional<BuyerSession> KeySecureExchange::lock_payment_with(
   // Fail-point: the buyer client dies before issuing the lock tx. No
   // funds have moved; the step is safely retryable.
   if (fault::fire(fault::points::kExchangeLock)) return std::nullopt;
+  auto lock =
+      make_lock_intent(buyer, offer, amount, timeout_blocks, k_v, seller);
+  if (!lock || !sys_.pool().call(std::move(lock->intent)).success) {
+    return std::nullopt;
+  }
+  BuyerSession session;
+  session.exchange_id = *lock->exchange_id;
+  session.token_id = offer.token_id;
+  session.k_v = k_v;
+  return session;
+}
+
+std::optional<KeySecureExchange::LockIntent>
+KeySecureExchange::make_lock_intent(const crypto::KeyPair& buyer,
+                                    const Offer& offer, std::uint64_t amount,
+                                    std::uint64_t timeout_blocks,
+                                    const Fr& k_v,
+                                    const chain::Address& seller) {
   const auto info = sys_.nft().token(offer.token_id);
   if (!info) return std::nullopt;
   const chain::Address pay_seller = seller.empty() ? info->owner : seller;
 
-  BuyerSession session;
-  session.token_id = offer.token_id;
-  session.k_v = k_v;
-  const Fr h_v = hash_key(session.k_v);
-
-  // Pool-routed, shard-routed: the lock lands on the arbiter shard that
-  // owns this token id, and the declared access set lets non-conflicting
-  // exchange txs (other shards, other buyers) batch in parallel.
+  // Shard-routed: the lock lands on the arbiter shard that owns this
+  // token id, and the declared access set lets non-conflicting exchange
+  // txs (other shards, other buyers) batch in parallel.
   auto& arb = sys_.arbiter_for_token(offer.token_id);
+  const chain::Address from = crypto::address_of(buyer.pk);
   txpool::AccessSet access;
   access.write_contract(arb.address())
-      .touch_account(crypto::address_of(buyer.pk))
+      .touch_account(from)
       .touch_account(arb.address());
-  const auto receipt = sys_.pool().call(
-      buyer, "arbiter.lock",
-      [&](chain::CallContext& ctx) {
-        session.exchange_id = arb.lock(ctx, pay_seller, h_v,
-                                       info->key_commitment, timeout_blocks);
+  LockIntent out;
+  out.exchange_id = std::make_shared<std::uint64_t>(0);
+  out.intent = txpool::make_intent(
+      buyer, sys_.pool().next_nonce(from), "arbiter.lock",
+      [arbp = &arb, pay_seller, h_v = hash_key(k_v),
+       c_k = info->key_commitment, timeout_blocks,
+       id = out.exchange_id](chain::CallContext& ctx) {
+        *id = arbp->lock(ctx, pay_seller, h_v, c_k, timeout_blocks);
       },
       std::move(access), /*value=*/amount, /*pay_to=*/arb.address());
-  if (!receipt.success) return std::nullopt;
-  return session;
+  return out;
 }
 
 std::optional<txpool::TxIntent> KeySecureExchange::make_settle_intent(
@@ -148,54 +187,25 @@ bool KeySecureExchange::settle(const crypto::KeyPair& seller,
   // untouched; the buyer's refund path guarantees liveness.
   if (fault::fire(fault::points::kExchangeSettle)) return false;
   auto intent = make_settle_intent(seller, asset, exchange_id, k_v);
-  if (!intent) return false;
-  auto res = sys_.pool().submit(std::move(*intent));
-  if (!res.accepted) return false;
-  auto& pool = sys_.pool();
-  std::size_t rounds = pool.pending() + 2;
-  while (!res.ticket->done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !res.ticket->done()) break;
-  }
-  return res.ticket->done() && res.ticket->receipt.success;
+  return intent && sys_.pool().call(std::move(*intent)).success;
 }
 
 std::vector<bool> KeySecureExchange::settle_batch(
     std::span<const SettleRequest> requests) {
-  std::vector<bool> ok(requests.size(), false);
-  std::vector<std::pair<std::size_t, txpool::TicketPtr>> tickets;
-  auto& pool = sys_.pool();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SettleRequest& rq = requests[i];
-    // Per-request fail-point: one dying seller client must not strand
-    // the rest of the batch.
-    if (fault::fire(fault::points::kExchangeSettle)) continue;
-    if (rq.seller == nullptr || rq.asset == nullptr) continue;
-    auto intent =
-        make_settle_intent(*rq.seller, *rq.asset, rq.exchange_id, rq.k_v);
-    if (!intent) continue;
-    auto res = pool.submit(std::move(*intent));
-    if (!res.accepted) continue;
-    tickets.emplace_back(i, std::move(res.ticket));
-  }
-  // Pump to completion: conflict-free settles (distinct sellers on
-  // distinct shards) seal together and share one folded pairing check;
-  // conflicting ones spill into follow-up batches. Bounded like
-  // TxPool::call — every productive pump shrinks the pool.
-  std::size_t rounds = pool.pending() + 2;
-  const auto all_done = [&] {
-    for (const auto& [i, t] : tickets) {
-      (void)i;
-      if (!t->done()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !all_done()) break;
-  }
-  for (const auto& [i, t] : tickets) {
-    ok[i] = t->done() && t->receipt.success;
-  }
-  return ok;
+  // Conflict-free settles (distinct sellers on distinct shards) seal
+  // together and share one folded pairing check; conflicting ones spill
+  // into follow-up batches.
+  return submit_each_and_pump(
+      sys_.pool(), requests.size(),
+      [&](std::size_t i) -> std::optional<txpool::TxIntent> {
+        const SettleRequest& rq = requests[i];
+        // Per-request fail-point: one dying seller client must not
+        // strand the rest of the batch.
+        if (fault::fire(fault::points::kExchangeSettle)) return std::nullopt;
+        if (rq.seller == nullptr || rq.asset == nullptr) return std::nullopt;
+        return make_settle_intent(*rq.seller, *rq.asset, rq.exchange_id,
+                                  rq.k_v);
+      });
 }
 
 std::optional<std::vector<Fr>> KeySecureExchange::recover_data(
@@ -224,18 +234,27 @@ bool KeySecureExchange::refund(const crypto::KeyPair& buyer,
                                std::uint64_t exchange_id) {
   // Fail-point: the buyer client dies before issuing refund.
   if (fault::fire(fault::points::kExchangeRefund)) return false;
+  auto intent = make_refund_intent(buyer, exchange_id);
+  return intent && sys_.pool().call(std::move(*intent)).success;
+}
+
+std::optional<txpool::TxIntent> KeySecureExchange::make_refund_intent(
+    const crypto::KeyPair& buyer, std::uint64_t exchange_id) {
   auto& arb = sys_.arbiter_for_exchange(exchange_id);
   const auto xinfo = arb.exchange(exchange_id);
-  if (!xinfo) return false;
+  if (!xinfo) return std::nullopt;
+  // Refund pays the escrow back to the buyer of record.
   txpool::AccessSet access;
   access.write_contract(arb.address())
       .touch_account(arb.address())
       .touch_account(xinfo->buyer);
-  const auto receipt = sys_.pool().call(
-      buyer, "arbiter.refund",
-      [&](chain::CallContext& ctx) { arb.refund(ctx, exchange_id); },
+  return txpool::make_intent(
+      buyer, sys_.pool().next_nonce(crypto::address_of(buyer.pk)),
+      "arbiter.refund",
+      [arbp = &arb, exchange_id](chain::CallContext& ctx) {
+        arbp->refund(ctx, exchange_id);
+      },
       std::move(access));
-  return receipt.success;
 }
 
 std::optional<KeySecureExchange::Sample> KeySecureExchange::disclose_sample(
@@ -317,48 +336,30 @@ bool ZkcpExchange::open(const crypto::KeyPair& seller, const OwnedAsset& asset,
 
 std::vector<bool> ZkcpExchange::open_batch(
     std::span<const OpenRequest> requests) {
-  std::vector<bool> ok(requests.size(), false);
-  std::vector<std::pair<std::size_t, txpool::TicketPtr>> tickets;
   auto& pool = sys_.pool();
   auto& arb = sys_.zkcp_arbiter();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const OpenRequest& rq = requests[i];
-    if (rq.seller == nullptr || rq.asset == nullptr) continue;
-    // Opens pay the escrow out of the shared ZKCP arbiter account, so
-    // they conflict pairwise on that balance and serialize across
-    // blocks — accumulation still pays one pump loop for all of them.
-    txpool::AccessSet access;
-    access.write_contract(arb.address(),
-                          "zkcp/" + std::to_string(rq.exchange_id) + "/")
-        .touch_account(arb.address())
-        .touch_account(crypto::address_of(rq.seller->pk));
-    auto intent = txpool::make_intent(
-        *rq.seller, pool.next_nonce(crypto::address_of(rq.seller->pk)),
-        "zkcp.open",
-        [arbp = &arb, id = rq.exchange_id,
-         key = rq.asset->key](chain::CallContext& ctx) {
-          arbp->open(ctx, id, key);
-        },
-        std::move(access));
-    auto res = pool.submit(std::move(intent));
-    if (!res.accepted) continue;
-    tickets.emplace_back(i, std::move(res.ticket));
-  }
-  std::size_t rounds = pool.pending() + 2;
-  const auto all_done = [&] {
-    for (const auto& [i, t] : tickets) {
-      (void)i;
-      if (!t->done()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && rounds-- > 0) {
-    if (pool.seal_next_batch() == 0 && !all_done()) break;
-  }
-  for (const auto& [i, t] : tickets) {
-    ok[i] = t->done() && t->receipt.success;
-  }
-  return ok;
+  return submit_each_and_pump(
+      pool, requests.size(),
+      [&](std::size_t i) -> std::optional<txpool::TxIntent> {
+        const OpenRequest& rq = requests[i];
+        if (rq.seller == nullptr || rq.asset == nullptr) return std::nullopt;
+        // Opens pay the escrow out of the shared ZKCP arbiter account, so
+        // they conflict pairwise on that balance and serialize across
+        // blocks — accumulation still pays one pump loop for all of them.
+        const chain::Address from = crypto::address_of(rq.seller->pk);
+        txpool::AccessSet access;
+        access.write_contract(arb.address(),
+                              "zkcp/" + std::to_string(rq.exchange_id) + "/")
+            .touch_account(arb.address())
+            .touch_account(from);
+        return txpool::make_intent(
+            *rq.seller, pool.next_nonce(from), "zkcp.open",
+            [arbp = &arb, id = rq.exchange_id,
+             key = rq.asset->key](chain::CallContext& ctx) {
+              arbp->open(ctx, id, key);
+            },
+            std::move(access));
+      });
 }
 
 std::optional<std::vector<Fr>> ZkcpExchange::eavesdrop(

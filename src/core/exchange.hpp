@@ -107,14 +107,38 @@ class KeySecureExchange {
   // Buyer: reclaim an expired escrow.
   bool refund(const crypto::KeyPair& buyer, std::uint64_t exchange_id);
 
-  // Shared by settle()/settle_batch() and the RPC dispatcher's batching
-  // path: sanity checks, proves pi_k and builds the signed settle
-  // intent carrying its ProofClaim (so however the caller batches, the
-  // settle rides the folded verification). nullopt on any seller-side
+  // --- the exchange's arbiter transactions ---
+  // Each builder is the one place its tx is made: description, declared
+  // access set, closure, value routing and nonce (TxPool::next_nonce, so
+  // a caller batching several intents must submit each before building
+  // the next). The in-process calls above and the RPC dispatcher both
+  // submit what these return. They fire no fail-points; the wrappers do.
+
+  // The signed lock intent, plus the cell its closure fills with the
+  // arbiter-assigned exchange id once the tx executes. Locks against
+  // h_v = H(k_v) on the shard owning the token; `seller` as in
+  // lock_payment. nullopt when the token does not exist.
+  struct LockIntent {
+    txpool::TxIntent intent;
+    std::shared_ptr<std::uint64_t> exchange_id;
+  };
+  std::optional<LockIntent> make_lock_intent(
+      const crypto::KeyPair& buyer, const Offer& offer, std::uint64_t amount,
+      std::uint64_t timeout_blocks, const Fr& k_v,
+      const chain::Address& seller = {});
+
+  // Sanity checks, proves pi_k and builds the signed settle intent
+  // carrying its ProofClaim (so however the caller batches, the settle
+  // rides the folded verification). nullopt on any seller-side
   // rejection (bad k_v, foreign asset, prover failure).
   std::optional<txpool::TxIntent> make_settle_intent(
       const crypto::KeyPair& seller, const OwnedAsset& asset,
       std::uint64_t exchange_id, const Fr& k_v);
+
+  // The signed refund intent; nullopt when the exchange does not exist.
+  // The deadline is the arbiter's to check, at execution.
+  std::optional<txpool::TxIntent> make_refund_intent(
+      const crypto::KeyPair& buyer, std::uint64_t exchange_id);
 
   // --- sample disclosure (marketplace extension) ---
   // Seller: reveal entry `index` of the asset's plaintext with a proof

@@ -614,12 +614,14 @@ std::optional<PairingCheck> verify_prepare(
   const Fr l1_zeta =
       zh_zeta * (Fr::from_u64(n) * (zeta - Fr::one())).inverse();
 
+  // One domain serves the public-input Lagrange terms and omega below.
+  const EvaluationDomain dom(n);
+
   // PI(zeta) = sum_i -x_i * L_i(zeta) — O(ell) field work with a single
   // batched inversion.
   Fr pi_zeta = Fr::zero();
   if (!public_inputs.empty()) {
     // L_i(zeta) = w^i * Z_H(zeta) / (n (zeta - w^i))
-    EvaluationDomain dom(n);
     const Fr n_inv = Fr::from_u64(n).inverse();
     std::vector<Fr> dens(public_inputs.size());
     for (std::size_t i = 0; i < public_inputs.size(); ++i) {
@@ -667,7 +669,6 @@ std::optional<PairingCheck> verify_prepare(
   e_scalar += u * proof.eval_z_omega;
   const G1 e = G1::generator().mul(e_scalar);
 
-  EvaluationDomain dom(n);
   const Fr omega = dom.omega();
   PairingCheck check;
   check.lhs = proof.w_zeta + proof.w_zeta_omega.mul(u);

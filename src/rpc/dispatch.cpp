@@ -185,6 +185,7 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
     PendingTx pend;
     pend.index = i;
     pend.op = rq.op;
+    std::optional<txpool::TxIntent> intent;
     switch (rq.op) {
       case Op::kTransfer: {
         const Principal* dest = principal(rq.a);
@@ -194,16 +195,10 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
         }
         txpool::AccessSet access;
         access.touch_account(p->addr).touch_account(dest->addr);
-        auto intent = txpool::make_intent(
+        intent = txpool::make_intent(
             p->keys, pool.next_nonce(p->addr), "rpc.transfer",
             [](chain::CallContext&) {}, std::move(access),
             /*value=*/rq.b, /*pay_to=*/dest->addr);
-        auto res = pool.submit(std::move(intent));
-        if (!res.accepted) {
-          responses[i] = reject(rq, res.error);
-          continue;
-        }
-        pend.ticket = std::move(res.ticket);
         pend.sender = p->addr;
         break;
       }
@@ -213,37 +208,20 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
           continue;
         }
         const core::Offer& offer = offers_[rq.a - 1];
-        const auto info = sys_.nft().token(offer.token_id);
-        if (!info) {
-          responses[i] = reject(rq, "offer token vanished");
-          continue;
-        }
         // Buyer k_v is drawn here — a stream-determined point — and
         // custodied until the matching settle/refund (hosted-wallet
         // analogue of BuyerSession).
         pend.k_v = rng_.random_fr();
         pend.token_id = offer.token_id;
-        pend.lock_id = std::make_shared<std::uint64_t>(0);
-        const ff::Fr h_v = core::hash_key(pend.k_v);
-        auto& arb = sys_.arbiter_for_token(offer.token_id);
-        txpool::AccessSet access;
-        access.write_contract(arb.address())
-            .touch_account(p->addr)
-            .touch_account(arb.address());
-        auto intent = txpool::make_intent(
-            p->keys, pool.next_nonce(p->addr), "arbiter.lock",
-            [arbp = &arb, seller = info->owner, h_v,
-             c_k = info->key_commitment, timeout = rq.c,
-             out = pend.lock_id](chain::CallContext& ctx) {
-              *out = arbp->lock(ctx, seller, h_v, c_k, timeout);
-            },
-            std::move(access), /*value=*/rq.b, /*pay_to=*/arb.address());
-        auto res = pool.submit(std::move(intent));
-        if (!res.accepted) {
-          responses[i] = reject(rq, res.error);
+        auto lock = exchange_.make_lock_intent(p->keys, offer, /*amount=*/rq.b,
+                                               /*timeout_blocks=*/rq.c,
+                                               pend.k_v);
+        if (!lock) {
+          responses[i] = reject(rq, "offer token vanished");
           continue;
         }
-        pend.ticket = std::move(res.ticket);
+        intent = std::move(lock->intent);
+        pend.lock_id = std::move(lock->exchange_id);
         break;
       }
       case Op::kSettle: {
@@ -257,53 +235,32 @@ std::vector<Response> Dispatcher::run(std::span<const Request> requests) {
           responses[i] = reject(rq, "seller asset missing");
           continue;
         }
-        auto intent = exchange_.make_settle_intent(p->keys, asset->second,
-                                                   rq.a, sess->second.k_v);
+        intent = exchange_.make_settle_intent(p->keys, asset->second, rq.a,
+                                              sess->second.k_v);
         if (!intent) {
           responses[i] = reject(rq, "settle rejected by seller checks");
           continue;
         }
-        auto res = pool.submit(std::move(*intent));
-        if (!res.accepted) {
-          responses[i] = reject(rq, res.error);
-          continue;
-        }
-        pend.ticket = std::move(res.ticket);
         break;
       }
       case Op::kRefund: {
-        if (rq.a < 1) {
+        intent = exchange_.make_refund_intent(p->keys, rq.a);
+        if (!intent) {
           responses[i] = reject(rq, "unknown exchange");
           continue;
         }
-        auto& arb = sys_.arbiter_for_exchange(rq.a);
-        const auto xinfo = arb.exchange(rq.a);
-        if (!xinfo) {
-          responses[i] = reject(rq, "unknown exchange");
-          continue;
-        }
-        txpool::AccessSet access;
-        access.write_contract(arb.address())
-            .touch_account(arb.address())
-            .touch_account(xinfo->buyer);
-        auto intent = txpool::make_intent(
-            p->keys, pool.next_nonce(p->addr), "arbiter.refund",
-            [arbp = &arb, id = rq.a](chain::CallContext& ctx) {
-              arbp->refund(ctx, id);
-            },
-            std::move(access));
-        auto res = pool.submit(std::move(intent));
-        if (!res.accepted) {
-          responses[i] = reject(rq, res.error);
-          continue;
-        }
-        pend.ticket = std::move(res.ticket);
         break;
       }
       default:
         responses[i] = reject(rq, "unreachable");
         continue;
     }
+    auto res = pool.submit(std::move(*intent));
+    if (!res.accepted) {
+      responses[i] = reject(rq, res.error);
+      continue;
+    }
+    pend.ticket = std::move(res.ticket);
     txs.push_back(std::move(pend));
   }
 

@@ -27,7 +27,7 @@ ProverService::ProverService(const plonk::Srs& srs,
   // field inversion for the whole vector) and then shared by every
   // commit() of every job this service runs, instead of showing up as
   // latency inside the first proof.
-  srs_.g1_powers_affine();
+  (void)srs_.g1_powers_affine();
 }
 
 std::shared_ptr<const plonk::KeyPairResult> ProverService::keys_for(

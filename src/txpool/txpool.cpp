@@ -1,5 +1,6 @@
 #include "txpool/txpool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "crypto/rng.hpp"
@@ -177,35 +178,30 @@ std::size_t TxPool::drain() {
   }
 }
 
-chain::Receipt TxPool::call(const crypto::KeyPair& sender,
-                            const std::string& description,
-                            const std::function<void(chain::CallContext&)>& fn,
-                            AccessSet access, std::uint64_t value,
-                            const chain::Address& pay_to,
-                            std::uint64_t gas_limit,
-                            std::shared_ptr<const chain::ProofClaim> claim) {
-  const chain::Address from = crypto::address_of(sender.pk);
-  auto res = submit(make_intent(sender, next_nonce(from), description, fn,
-                                std::move(access), value, pay_to, gas_limit,
-                                /*priority=*/0, std::move(claim)));
+chain::Receipt TxPool::call(TxIntent intent) {
+  auto res = submit(std::move(intent));
+  chain::Receipt r;
   if (!res.accepted) {
-    chain::Receipt r;
     r.error = std::move(res.error);
     return r;
   }
-  // Pump until our ticket resolves. Bounded: every productive pump
-  // shrinks the pool, so pending() + 2 rounds suffice unless the tx is
-  // permanently unschedulable (nonce gap from a lost predecessor).
-  std::size_t rounds = pending() + 2;
-  while (!res.ticket->done() && rounds-- > 0) {
-    if (seal_next_batch() == 0 && !res.ticket->done()) break;
-  }
-  if (!res.ticket->done()) {
-    chain::Receipt r;
+  if (!pump_until_resolved({&res.ticket, 1})) {
     r.error = "txpool: tx not schedulable (nonce gap)";
     return r;
   }
   return res.ticket->receipt;
+}
+
+bool TxPool::pump_until_resolved(std::span<const TicketPtr> tickets) {
+  const auto resolved = [&] {
+    return std::all_of(tickets.begin(), tickets.end(),
+                       [](const TicketPtr& t) { return !t || t->done(); });
+  };
+  for (std::size_t rounds = pending() + 2; rounds > 0 && !resolved();
+       --rounds) {
+    if (seal_next_batch() == 0) break;
+  }
+  return resolved();
 }
 
 std::uint64_t TxPool::next_nonce(const chain::Address& sender) const {

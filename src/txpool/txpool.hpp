@@ -2,11 +2,11 @@
 //
 // The pump-driven front door of the chain pipeline. Producers submit()
 // signed intents from any thread; a driver thread (the load harness, or
-// the synchronous call() helper) pumps seal_next_batch(), which asks
-// the scheduler for a conflict-free batch and hands it to
-// Chain::execute_batch — signature checks and contract closures fan out
-// over the runtime thread pool, effects commit serially in canonical
-// order, and the batch seals as ONE block. The pool owns no threads
+// pump_until_resolved() behind the synchronous call()) pumps
+// seal_next_batch(), which asks the scheduler for a conflict-free batch
+// and hands it to Chain::execute_batch — signature checks and contract
+// closures fan out over the runtime thread pool, effects commit
+// serially in canonical order, and the batch seals as ONE block. The pool owns no threads
 // (src/runtime holds the only thread primitives in the tree), so
 // determinism and shutdown are trivial: no pump, no progress.
 //
@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 
 #include "chain/chain.hpp"
 #include "check/mutex.hpp"
@@ -51,16 +51,16 @@ class TxPool {
   // Pumps until the pool stops making progress; returns txs sealed.
   std::size_t drain();
 
-  // Synchronous pool-routed analogue of Chain::call: assigns the next
-  // nonce, signs, submits, and pumps until the ticket resolves.
-  // `claim` attaches a pre-execution proof claim (batched settlement).
-  chain::Receipt call(const crypto::KeyPair& sender,
-                      const std::string& description,
-                      const std::function<void(chain::CallContext&)>& fn,
-                      AccessSet access = {}, std::uint64_t value = 0,
-                      const chain::Address& pay_to = {},
-                      std::uint64_t gas_limit = 30'000'000,
-                      std::shared_ptr<const chain::ProofClaim> claim = {});
+  // Synchronous pool-routed analogue of Chain::call: submits a signed
+  // intent (nonce from next_nonce) and pumps until its ticket resolves.
+  chain::Receipt call(TxIntent intent);
+
+  // Pumps seal_next_batch() until every ticket in `tickets` resolves;
+  // null entries are skipped. Bounded: every productive pump shrinks
+  // the pool, so pending() + 2 rounds suffice unless a tx is
+  // permanently unschedulable (nonce gap from a lost predecessor).
+  // Returns whether all resolved.
+  bool pump_until_resolved(std::span<const TicketPtr> tickets);
 
   // Next assignable nonce for `sender`: one past the highest queued
   // intent, or the chain nonce when nothing is queued.

@@ -615,9 +615,9 @@ TEST(TxpoolCall, SynchronousCallAssignsNoncesAndResolves) {
   World w;
   Counter* c = w.counter;
   for (int i = 0; i < 3; ++i) {
-    const auto r = w.pool->call(
-        w.keys[0], "sync " + std::to_string(i),
-        [c](CallContext& ctx) { c->add(ctx, "sync", 2); });
+    const auto r = w.pool->call(make_intent(
+        w.keys[0], w.pool->next_nonce(w.addrs[0]), "sync " + std::to_string(i),
+        [c](CallContext& ctx) { c->add(ctx, "sync", 2); }));
     EXPECT_TRUE(r.success) << r.error;
   }
   EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 3u);
@@ -628,12 +628,40 @@ TEST(TxpoolCall, MixedPoolAndDirectCallsShareNonceStream) {
   World w;
   ASSERT_TRUE(
       w.chain.call(w.keys[0], "direct", [](CallContext&) {}).success);
-  const auto r = w.pool->call(w.keys[0], "pooled", [](CallContext&) {});
+  const auto r = w.pool->call(make_intent(
+      w.keys[0], w.pool->next_nonce(w.addrs[0]), "pooled",
+      [](CallContext&) {}));
   EXPECT_TRUE(r.success) << r.error;
   ASSERT_TRUE(
       w.chain.call(w.keys[0], "direct again", [](CallContext&) {}).success);
   EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 3u);
   EXPECT_TRUE(w.chain.validate_chain());
+}
+
+TEST(TxpoolCall, NonceGapIsReportedWithinTheBound) {
+  // An intent queued behind a missing predecessor can never seal: the
+  // bounded pump gives up after pending() + 2 rounds instead of
+  // spinning, reports the gap, and leaves the intent queued.
+  World w;
+  const auto stats_before = runtime::stats();
+  const auto r = w.pool->call(w.bump(0, /*nonce=*/1, 10));
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error, "txpool: tx not schedulable (nonce gap)");
+  EXPECT_EQ(w.pool->pending(), 1u);
+  EXPECT_EQ(w.chain.account_nonce(w.addrs[0]), 0u);
+  EXPECT_EQ(runtime::stats().txpool_batches_sealed,
+            stats_before.txpool_batches_sealed);
+  // The same bound covers a set of tickets: the resolvable one seals,
+  // the gapped one is reported unresolved.
+  auto ok = w.pool->submit(w.bump(1, /*nonce=*/0, 5));
+  ASSERT_TRUE(ok.accepted);
+  const std::vector<TicketPtr> tickets = {ok.ticket, nullptr};
+  EXPECT_TRUE(w.pool->pump_until_resolved(tickets));
+  EXPECT_TRUE(ok.ticket->receipt.success);
+  auto gapped = w.pool->submit(w.bump(2, /*nonce=*/3, 1));
+  ASSERT_TRUE(gapped.accepted);
+  EXPECT_FALSE(w.pool->pump_until_resolved({&gapped.ticket, 1}));
+  EXPECT_FALSE(gapped.ticket->done());
 }
 
 // Regression test for the nonce-map data race found by the lock
